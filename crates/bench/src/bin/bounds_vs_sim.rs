@@ -31,10 +31,11 @@ fn main() {
     let b = args.usize("b", 256);
     let tau = args.usize("tau", 1);
     // Two composed parallelism layers from one budget: SNR points fan
-    // out across sweep workers, and each worker decodes its BLER batch
-    // through a DecodeEngine holding the leftover threads — so a short
-    // grid on a wide machine still fills every core, with no
-    // oversubscription. Results are bit-identical at any split.
+    // out across sweep workers, and each worker batch-decodes its BLER
+    // trials (whole blocks side by side) on a DecodeEngine holding the
+    // leftover threads — so a short grid on a wide machine still fills
+    // every core, with no oversubscription. Results are bit-identical
+    // at any split.
     let budget = bench::cli_threads(&args);
     let metric = bench::cli_metric(&args);
     let (threads, engine_threads) = budget.split(snrs.len());
@@ -66,7 +67,7 @@ fn main() {
         eprintln!(
             "bounds_vs_sim: {label}: {} SNR points × {trials} trials, n={n} B={b} \
              {passes} passes ({symbols} symbols), {threads} sweep threads × \
-             {} engine threads",
+             {} batch-decode threads",
             snrs.len(),
             engine_threads.get()
         );

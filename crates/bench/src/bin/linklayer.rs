@@ -7,7 +7,7 @@
 //! ```
 
 use bench::Args;
-use spinal_core::{CodeParams, DecodeEngine};
+use spinal_core::{CodeParams, DecodeWorkspace};
 use spinal_sim::{run_parallel_with, LinkLayerRun, SpinalRun};
 
 fn main() {
@@ -23,33 +23,28 @@ fn main() {
             jobs.push((b, s));
         }
     }
-    // Grid jobs fan out across sweep workers; any leftover budget
-    // becomes per-worker intra-block decode threads (bit-identical
-    // results at any split).
-    let (threads, engine_threads) = bench::cli_threads(&args).split(jobs.len());
+    // Grid jobs fan out across sweep workers, which get the whole
+    // thread budget; each worker decodes its trials through its own
+    // workspace.
+    let threads = bench::cli_threads(&args).get();
     let metric = bench::cli_metric(&args);
 
-    let rows = run_parallel_with(
-        jobs.len(),
-        threads,
-        || DecodeEngine::new(engine_threads.get()),
-        |engine, j| {
-            let (burst, snr) = jobs[j];
-            let ll = LinkLayerRun {
-                run: SpinalRun::new(CodeParams::default().with_n(256)).with_profile(metric),
-                burst_symbols: burst,
-                feedback_symbols: feedback,
-            };
-            let mut rate = 0.0;
-            let mut ideal = 0.0;
-            for t in 0..trials {
-                let seed = ((j * trials + t) as u64) << 6;
-                rate += ll.run_trial_with_engine(snr, seed, engine).effective_rate;
-                ideal += ll.ideal_rate_with_engine(snr, seed, engine);
-            }
-            (rate / trials as f64, ideal / trials as f64)
-        },
-    );
+    let rows = run_parallel_with(jobs.len(), threads, DecodeWorkspace::new, |ws, j| {
+        let (burst, snr) = jobs[j];
+        let ll = LinkLayerRun {
+            run: SpinalRun::new(CodeParams::default().with_n(256)).with_profile(metric),
+            burst_symbols: burst,
+            feedback_symbols: feedback,
+        };
+        let mut rate = 0.0;
+        let mut ideal = 0.0;
+        for t in 0..trials {
+            let seed = ((j * trials + t) as u64) << 6;
+            rate += ll.run_trial_with_workspace(snr, seed, ws).effective_rate;
+            ideal += ll.ideal_rate_with_workspace(snr, seed, ws);
+        }
+        (rate / trials as f64, ideal / trials as f64)
+    });
 
     println!("# §6 pause-point study: effective rate vs burst size (feedback={feedback} symbols)");
     println!("burst_symbols,rate_5db,eff_5db,rate_15db,eff_15db,rate_25db,eff_25db");

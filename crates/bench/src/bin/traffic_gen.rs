@@ -276,9 +276,6 @@ fn main() {
     if m.deadline_misses != 0 {
         bad.push(format!("{} deadline misses", m.deadline_misses));
     }
-    if m.sessions_quarantined != 0 {
-        bad.push(format!("{} sessions quarantined", m.sessions_quarantined));
-    }
     let expected_peak = concurrent.min(sessions);
     if m.peak_active < expected_peak {
         bad.push(format!(

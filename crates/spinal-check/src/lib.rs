@@ -37,8 +37,8 @@
 //! [`ScheduleOutcome::diverged`]) but never hangs the checker.
 //!
 //! The checker asserts *outcomes* per schedule — the harnesses in
-//! `tests/` run the engine's submit/drain, plan-sharded decode, batch
-//! and shutdown paths across thousands of schedules and require
+//! `tests/` run the engine's submit/drain, batch, panic-recovery and
+//! shutdown paths across thousands of schedules and require
 //! bit-identical `(message, cost)` on every one.
 
 #![forbid(unsafe_code)]

@@ -1,31 +1,21 @@
-//! The parallel decode engine: a long-lived worker pool that runs bubble
-//! decodes across cores, at two granularities.
+//! The decode engine: a long-lived worker pool that decodes whole,
+//! independent blocks across cores.
 //!
-//! * **Intra-block** ([`DecodeEngine::decode_parallel`]): one block's
-//!   beam search, with each step's frontier sharded across workers. The
-//!   paper argues (§7, and the companion hardware design in
-//!   "De-randomizing Shannon") that the bubble decoder's per-step work —
-//!   expanding `B·2^k` children and keeping the best `B` — parallelises
-//!   across sub-trees; this module is the software form of that claim.
-//!   Per step: the main thread builds nothing per-shard (branch-metric
-//!   tables are read-only, prepared once per decode in a [`Plan`] and
-//!   shared by `Arc`), workers expand disjoint contiguous slices of the
-//!   structure-of-arrays frontier and fold their leaves into per-key
-//!   minima, and the main thread min-merges those arrays and runs the
-//!   exact serial selection. Because every reduction the decoder
-//!   performs is order-independent (see the `decoder` module docs), the
-//!   sharded decode is **bit-for-bit identical to the serial one at
-//!   every thread count** — a property the corpus and property tests
-//!   pin. This holds for *both metric profiles*: the exact profile
-//!   min-folds `f64` key minima, the quantized profile min-folds
-//!   saturating `u32` minima (integer min is exact, so the merge is
-//!   trivially associative) and selects by radix.
-//! * **Inter-block** ([`DecodeEngine::decode_batch_parallel`], and the
-//!   streaming [`DecodeEngine::submit`]/[`DecodeEngine::drain`] pair):
-//!   independent blocks dispatched whole to workers, each of which owns
-//!   one [`DecodeWorkspace`] for its lifetime — the per-core workspace
-//!   that keeps the §7.1 attempt loop allocation-free once warm. These
-//!   paths inherit the submitting decoder's profile unchanged.
+//! [`DecodeEngine::decode_batch_parallel`] and the streaming
+//! [`DecodeEngine::submit`]/[`DecodeEngine::drain`] pair dispatch one
+//! block per job; each worker owns one [`DecodeWorkspace`] for its
+//! lifetime — the per-core workspace that keeps the §7.1 attempt loop
+//! allocation-free once warm. The many-session
+//! [`DecodeService`](crate::service::DecodeService) runs its session jobs
+//! on the same pool. Every path inherits the submitting decoder's metric
+//! profile unchanged, so results are bit-for-bit identical to a serial
+//! decode at every thread count.
+//!
+//! Parallelism is across blocks, never inside one: the paper (§7, and
+//! the companion hardware design in "De-randomizing Shannon") notes that
+//! a step's `B·2^k` expansion splits across sub-trees, but in software
+//! the per-step merge and dispatch cost more than the split saves at
+//! every measured shape, while whole-block batching scales with cores.
 //!
 //! The pool is **long-lived** (no `std::thread::scope` per call): threads
 //! are spawned by [`DecodeEngine::new`] and joined on drop, so a sweep
@@ -55,15 +45,8 @@
 //! is dropped by the (idempotent) completion latches and counted as
 //! stale — never delivered twice, never lost silently.
 
-use crate::api::DecodeRequest;
-use crate::decoder::{
-    build_symbol_tables, commit_selection, reconstruct_message, BubbleDecoder, CostKind,
-    DecodeResult, DecodeWorkspace, Frontier, StepMetric, NO_PARENT,
-};
-use crate::hash::HashKind;
-use crate::quant::{MetricProfile, QuantTables};
-use crate::rx::{RxBits, RxSymbols};
-use crate::tables::{SymbolTables, TableCache};
+use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
+use crate::rx::RxSymbols;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -181,11 +164,6 @@ struct Job {
     run: RunFn,
     on_fail: Option<FailFn>,
 }
-
-/// Below this frontier size an expansion step runs inline on the calling
-/// thread: dispatch latency would exceed the work. Purely a scheduling
-/// choice — results are identical either way.
-const MIN_PARALLEL_FRONTIER: usize = 32;
 
 // ---------------------------------------------------------------------
 // Worker pool
@@ -551,210 +529,6 @@ impl<T> Gather<T> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Per-decode plan
-// ---------------------------------------------------------------------
-
-enum PlanKind {
-    Symbols,
-    Bits,
-}
-
-/// Everything a worker needs to score any step of one decode, built once
-/// per decode by the dispatching thread and shared read-only: the
-/// concatenated branch-metric tables for every spine index (exact plans
-/// reuse the same [`build_symbol_tables`] arithmetic as the serial path,
-/// quantized plans the same [`QuantTables::rebuild`], so tables are
-/// bitwise identical to the corresponding serial decode), plus the code
-/// geometry.
-struct Plan<C: CostKind> {
-    hash: HashKind,
-    k: usize,
-    /// Effective bubble depth (`params.d` clamped to the spine count).
-    d: usize,
-    ns: usize,
-    b: usize,
-    s0: u32,
-    m: usize,
-    i_shift: usize,
-    q_shift: usize,
-    kind: PlanKind,
-    tables: Vec<C::Entry>,
-    rngs: Vec<u32>,
-    bits: Vec<(u32, bool)>,
-    /// Per spine index: the half-open entry range into `rngs`/`bits`.
-    spans: Vec<(u32, u32)>,
-    /// The `(scale, offset)` map back to exact-metric units for the
-    /// reported cost (identity for exact plans).
-    dequant: (f64, f64),
-}
-
-impl<C: CostKind> Plan<C> {
-    fn geometry(dec: &BubbleDecoder, kind: PlanKind) -> Plan<C> {
-        let p = dec.params_ref();
-        let ns = p.num_spines();
-        let c = dec.c_bits();
-        Plan {
-            hash: p.hash,
-            k: p.k,
-            d: p.d.min(ns),
-            ns,
-            b: p.b,
-            s0: p.s0,
-            m: dec.levels().len(),
-            i_shift: 32 - c,
-            q_shift: 16 - c,
-            kind,
-            tables: Vec::new(),
-            rngs: Vec::new(),
-            bits: Vec::new(),
-            spans: Vec::new(),
-            dequant: (1.0, 0.0),
-        }
-    }
-
-    fn bits(dec: &BubbleDecoder, rx: &RxBits) -> Plan<C> {
-        let mut plan = Plan::geometry(dec, PlanKind::Bits);
-        for s in 0..plan.ns {
-            let lo = plan.bits.len() as u32;
-            plan.bits.extend_from_slice(rx.spine_entries(s));
-            plan.spans.push((lo, plan.bits.len() as u32));
-        }
-        plan
-    }
-
-    fn metric(&self, spine_idx: usize) -> StepMetric<'_, C> {
-        let (lo, hi) = self.spans[spine_idx];
-        let (lo, hi) = (lo as usize, hi as usize);
-        match self.kind {
-            PlanKind::Symbols => StepMetric::Symbols {
-                rngs: &self.rngs[lo..hi],
-                tables: &self.tables[lo * 2 * self.m..hi * 2 * self.m],
-                m: self.m,
-                i_shift: self.i_shift,
-                q_shift: self.q_shift,
-            },
-            PlanKind::Bits => StepMetric::Bits {
-                entries: &self.bits[lo..hi],
-            },
-        }
-    }
-}
-
-impl Plan<f64> {
-    /// Exact tables built fresh from the receive buffer.
-    fn symbols(dec: &BubbleDecoder, rx: &RxSymbols) -> Plan<f64> {
-        let mut plan = Plan::geometry(dec, PlanKind::Symbols);
-        let levels = dec.levels();
-        for s in 0..plan.ns {
-            let lo = plan.rngs.len() as u32;
-            build_symbol_tables(
-                levels,
-                rx.spine_entries(s),
-                &mut plan.tables,
-                &mut plan.rngs,
-            );
-            plan.spans.push((lo, plan.rngs.len() as u32));
-        }
-        plan
-    }
-
-    /// Exact tables flattened from an already-synced [`TableCache`]
-    /// (identical values — same builder, same per-spine order — without
-    /// re-deriving any of them).
-    fn symbols_prepared(dec: &BubbleDecoder, st: &SymbolTables) -> Plan<f64> {
-        let mut plan = Plan::geometry(dec, PlanKind::Symbols);
-        for s in 0..plan.ns {
-            let lo = plan.rngs.len() as u32;
-            plan.tables.extend_from_slice(&st.tables[s]);
-            plan.rngs.extend_from_slice(&st.rngs[s]);
-            plan.spans.push((lo, plan.rngs.len() as u32));
-        }
-        plan
-    }
-}
-
-impl Plan<u32> {
-    /// Quantized tables derived from prepared exact tables — the same
-    /// [`QuantTables::rebuild`] the serial quantized decode runs, so the
-    /// sharded decode sees bit-identical `u16` tables.
-    fn symbols_quant(dec: &BubbleDecoder, st: &SymbolTables) -> Plan<u32> {
-        let mut plan = Plan::geometry(dec, PlanKind::Symbols);
-        let mut qt = QuantTables::new();
-        qt.rebuild(st, plan.m);
-        plan.dequant = qt.dequant();
-        plan.tables = std::mem::take(&mut qt.tables);
-        plan.rngs = std::mem::take(&mut qt.rngs);
-        plan.spans = std::mem::take(&mut qt.spans);
-        plan
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine
-// ---------------------------------------------------------------------
-
-/// One worker's slice of a decode step: its frontier shard and the
-/// per-key minima it reduced from its leaves.
-#[derive(Debug, Clone, Default)]
-struct Shard<C: CostKind> {
-    fr: Frontier<C>,
-    key_min: Vec<C>,
-}
-
-/// Reusable intra-block buffers for one metric profile's cost type.
-#[derive(Default)]
-struct ProfileScratch<C: CostKind> {
-    /// The gathered global frontier between parallel steps.
-    main: Frontier<C>,
-    shards: Vec<Shard<C>>,
-    key_min: Vec<C>,
-}
-
-/// Profile-independent intra-block buffers (selection + history arena).
-#[derive(Default)]
-struct SharedScratch {
-    order: Vec<u32>,
-    key_to_new: Vec<u32>,
-    new_roots: Vec<u32>,
-    arena: Vec<(u32, u32)>,
-    tree_roots: Vec<u32>,
-    sel_scratch: Vec<u32>,
-}
-
-/// Reusable buffers for the intra-block orchestration (and the serial
-/// fallback workspace), kept across decodes so the steady state
-/// allocates only per-step dispatch bookkeeping. Exact and quantized
-/// profiles each keep their own typed frontier/minima buffers; the
-/// selection scratch and arena are shared.
-#[derive(Default)]
-struct EngineScratch {
-    /// Serial-path workspace (thread budget 1, or tiny frontiers).
-    ws: DecodeWorkspace,
-    exact: ProfileScratch<f64>,
-    quant: ProfileScratch<u32>,
-    shared: SharedScratch,
-    /// Reusable exact-table staging for quantized plan construction.
-    prep: SymbolTables,
-}
-
-/// Selects the typed half of [`EngineScratch`] for a cost kind.
-trait EngineCost: CostKind {
-    fn scratch(sc: &mut EngineScratch) -> (&mut ProfileScratch<Self>, &mut SharedScratch);
-}
-
-impl EngineCost for f64 {
-    fn scratch(sc: &mut EngineScratch) -> (&mut ProfileScratch<f64>, &mut SharedScratch) {
-        (&mut sc.exact, &mut sc.shared)
-    }
-}
-
-impl EngineCost for u32 {
-    fn scratch(sc: &mut EngineScratch) -> (&mut ProfileScratch<u32>, &mut SharedScratch) {
-        (&mut sc.quant, &mut sc.shared)
-    }
-}
-
 /// One generation of the submit/drain stream: the submissions issued
 /// between two `drain` calls, identified by a monotone counter.
 struct GenStream {
@@ -825,8 +599,8 @@ impl SubmitShared {
 }
 
 /// A persistent multi-threaded decode engine. See the module docs for
-/// the two parallelism layers it provides and the self-healing
-/// machinery around them.
+/// its block-level parallelism and the self-healing machinery around
+/// it.
 ///
 /// Construction spawns exactly `threads` pool workers when `threads > 1`
 /// (the dispatching thread only orchestrates and blocks, so `threads`
@@ -835,15 +609,16 @@ impl SubmitShared {
 /// stand-in wherever an engine is plumbed through.
 ///
 /// All methods take `&self`; the engine is `Sync` and can be shared by
-/// several sweep workers (intra-block decodes serialise on internal
-/// scratch, batch jobs interleave in the shared queue). The
+/// several sweep workers (batch jobs interleave in the shared queue;
+/// an inline engine's decodes serialise on its one workspace). The
 /// [`DecodeEngine::submit`]/[`DecodeEngine::drain`] pair is one shared
 /// stream, but generation-counted so a racing drain closes only its own
 /// generation — see its docs.
 pub struct DecodeEngine {
     threads: usize,
     pool: Option<WorkerPool>,
-    scratch: Mutex<EngineScratch>,
+    /// The inline (`threads == 1`) engine's workspace.
+    ws: Mutex<DecodeWorkspace>,
     submits: Arc<SubmitShared>,
 }
 
@@ -863,7 +638,7 @@ impl DecodeEngine {
         DecodeEngine {
             threads,
             pool: (threads > 1).then(|| WorkerPool::new(threads)),
-            scratch: Mutex::new(EngineScratch::default()),
+            ws: Mutex::new(DecodeWorkspace::new()),
             submits: Arc::new(SubmitShared {
                 state: Mutex::new(SubmitState {
                     open: GenStream::new(0),
@@ -908,119 +683,6 @@ impl DecodeEngine {
         }
     }
 
-    /// Decode one block of complex observations with the step frontier
-    /// sharded across the engine's workers. Bit-for-bit identical to
-    /// the serial decode at every thread count, under the decoder's
-    /// metric profile (exact or quantized).
-    #[deprecated(
-        note = "decode through spinal_core::DecodeRequest (see README's API migration \
-                         table): DecodeRequest::new(&decoder, rx).engine(&engine).decode()"
-    )]
-    pub fn decode_parallel(&self, dec: &BubbleDecoder, rx: &RxSymbols) -> DecodeResult {
-        DecodeRequest::new(dec, rx).engine(self).decode()
-    }
-
-    /// The engine-sharded symbol decode — what a symbol
-    /// [`DecodeRequest`](crate::DecodeRequest) with an engine and no
-    /// cache resolves to.
-    pub(crate) fn parallel_impl(&self, dec: &BubbleDecoder, rx: &RxSymbols) -> DecodeResult {
-        assert_eq!(rx.n_spines(), dec.params_ref().num_spines());
-        match &self.pool {
-            None => dec.decode_symbols_impl(rx, &mut self.scratch.lock().ws),
-            Some(pool) => match dec.profile() {
-                MetricProfile::Exact => {
-                    self.decode_with_plan(dec, Arc::new(Plan::symbols(dec, rx)), pool)
-                }
-                MetricProfile::Quantized => {
-                    // Stage the exact tables in reusable engine scratch
-                    // (a short lock scope of its own — decode_with_plan
-                    // re-locks) so the pooled hot path, like the serial
-                    // one, allocates only the Arc-owned plan itself.
-                    let plan = {
-                        let sc = &mut *self.scratch.lock();
-                        sc.prep.reset(dec.params_ref().num_spines());
-                        sc.prep.sync(dec.levels(), rx);
-                        Arc::new(Plan::symbols_quant(dec, &sc.prep))
-                    };
-                    self.decode_with_plan(dec, plan, pool)
-                }
-            },
-        }
-    }
-
-    /// The engine-sharded decode through a [`TableCache`]: the attempt
-    /// folds in only observations received since the previous call.
-    /// Bit-identical to the uncached engine decode under both profiles.
-    #[deprecated(
-        note = "decode through spinal_core::DecodeRequest (see README's API migration \
-                         table): DecodeRequest::new(&decoder, rx).engine(&engine)\
-                         .cache(&mut cache).decode()"
-    )]
-    pub fn decode_parallel_cached(
-        &self,
-        dec: &BubbleDecoder,
-        rx: &RxSymbols,
-        cache: &mut TableCache,
-    ) -> DecodeResult {
-        DecodeRequest::new(dec, rx)
-            .engine(self)
-            .cache(cache)
-            .decode()
-    }
-
-    /// The engine-sharded incremental-table decode — what a symbol
-    /// [`DecodeRequest`](crate::DecodeRequest) with an engine and a
-    /// cache resolves to.
-    pub(crate) fn parallel_cached_impl(
-        &self,
-        dec: &BubbleDecoder,
-        rx: &RxSymbols,
-        cache: &mut TableCache,
-    ) -> DecodeResult {
-        assert_eq!(rx.n_spines(), dec.params_ref().num_spines());
-        match &self.pool {
-            None => dec.decode_cached_impl(rx, cache, &mut self.scratch.lock().ws),
-            Some(pool) => {
-                let st = cache.sync(dec.levels(), rx);
-                match dec.profile() {
-                    MetricProfile::Exact => {
-                        self.decode_with_plan(dec, Arc::new(Plan::symbols_prepared(dec, st)), pool)
-                    }
-                    MetricProfile::Quantized => {
-                        self.decode_with_plan(dec, Arc::new(Plan::symbols_quant(dec, st)), pool)
-                    }
-                }
-            }
-        }
-    }
-
-    /// The engine-sharded decode for hard bits (BSC metric).
-    #[deprecated(
-        note = "decode through spinal_core::DecodeRequest (see README's API migration \
-                         table): DecodeRequest::new(&decoder, rx).engine(&engine).decode()"
-    )]
-    pub fn decode_bsc_parallel(&self, dec: &BubbleDecoder, rx: &RxBits) -> DecodeResult {
-        DecodeRequest::new(dec, rx).engine(self).decode()
-    }
-
-    /// The engine-sharded hard-bit decode — what a bit
-    /// [`DecodeRequest`](crate::DecodeRequest) with an engine resolves
-    /// to.
-    pub(crate) fn bsc_parallel_impl(&self, dec: &BubbleDecoder, rx: &RxBits) -> DecodeResult {
-        assert_eq!(rx.n_spines(), dec.params_ref().num_spines());
-        match &self.pool {
-            None => dec.decode_bits_impl(rx, &mut self.scratch.lock().ws),
-            Some(pool) => match dec.profile() {
-                MetricProfile::Exact => {
-                    self.decode_with_plan(dec, Arc::new(Plan::<f64>::bits(dec, rx)), pool)
-                }
-                MetricProfile::Quantized => {
-                    self.decode_with_plan(dec, Arc::new(Plan::<u32>::bits(dec, rx)), pool)
-                }
-            },
-        }
-    }
-
     /// Decode a batch of independent blocks across the worker pool (one
     /// whole block per job, each worker reusing its own workspace).
     /// Results are in input order and bit-for-bit identical to decoding
@@ -1040,7 +702,7 @@ impl DecodeEngine {
     ) -> Vec<DecodeResult> {
         match &self.pool {
             None => {
-                let ws = &mut self.scratch.lock().ws;
+                let ws = &mut *self.ws.lock();
                 rxs.iter()
                     .map(|rx| dec.decode_symbols_impl(rx, ws))
                     .collect()
@@ -1084,7 +746,7 @@ impl DecodeEngine {
     pub fn submit(&self, dec: &BubbleDecoder, rx: &RxSymbols) {
         match &self.pool {
             None => {
-                let result = dec.decode_symbols_impl(rx, &mut self.scratch.lock().ws);
+                let result = dec.decode_symbols_impl(rx, &mut self.ws.lock());
                 let mut st = self.submits.state.lock();
                 st.open.results.push(Some(Ok(result)));
                 st.open.issued += 1;
@@ -1227,142 +889,20 @@ impl DecodeEngine {
             }
         }
     }
-
-    /// The sharded beam search, generic over the metric profile's cost
-    /// type. Mirrors the serial beam search step for step; only the
-    /// *scheduling* of per-leaf work differs, and every reduction is
-    /// order-independent (module docs), so the output matches the serial
-    /// decode exactly — `f64` min-merges for the exact profile, integer
-    /// min-folds for the quantized one.
-    ///
-    /// A shard job that fails (panic, watchdog cancel) resolves its
-    /// gather slot as a failure; the step then propagates it as a panic
-    /// on this dispatching thread — the sharded decode has no partial
-    /// result to salvage, and the caller's own failure handling (e.g.
-    /// the service's `on_fail` around a pooled job) takes over.
-    fn decode_with_plan<C: EngineCost>(
-        &self,
-        dec: &BubbleDecoder,
-        plan: Arc<Plan<C>>,
-        pool: &WorkerPool,
-    ) -> DecodeResult {
-        let sc = &mut *self.scratch.lock();
-        let (ps, sh) = C::scratch(sc);
-        let (ns, k, d, b) = (plan.ns, plan.k, plan.d, plan.b);
-        let workers = self.threads;
-
-        sh.arena.clear();
-        sh.tree_roots.clear();
-        sh.tree_roots.push(NO_PARENT);
-        ps.main.reset_root(plan.s0);
-        ps.shards.resize_with(workers, Shard::default);
-
-        // Initial frontier: expand s0 to depth d−1 — at most
-        // 2^(k(d−2)) leaves, always below the parallel threshold.
-        for depth in 1..d {
-            ps.main.expand(plan.hash, k, &plan.metric(depth - 1));
-        }
-
-        let shift = ((d - 1) * k) as u32;
-        for i in 1..=(ns + 1 - d) {
-            let spine = i + d - 2;
-            let n_keys = sh.tree_roots.len() << k;
-            let f = ps.main.len();
-            let parallel = f >= MIN_PARALLEL_FRONTIER && f >= workers;
-
-            ps.key_min.clear();
-            ps.key_min.resize(n_keys, C::INF);
-            if parallel {
-                // Shard the frontier into contiguous chunks, expand and
-                // score on the workers, then min-merge the per-shard key
-                // minima (the fold is associative and NaN-free, so the
-                // merge equals the unsharded scan).
-                let gather = Gather::new(workers);
-                let mut lo = 0usize;
-                for w in 0..workers {
-                    let hi = lo + f / workers + usize::from(w < f % workers);
-                    let mut shard = std::mem::take(&mut ps.shards[w]);
-                    shard.fr.load_slice(&ps.main, lo, hi);
-                    lo = hi;
-                    let plan = Arc::clone(&plan);
-                    let on_done = Arc::clone(&gather);
-                    let on_fail = Arc::clone(&gather);
-                    pool.submit(Job {
-                        run: Box::new(move |_ws| {
-                            shard.fr.expand(plan.hash, plan.k, &plan.metric(spine));
-                            shard.key_min.clear();
-                            shard.key_min.resize(n_keys, C::INF);
-                            shard
-                                .fr
-                                .accumulate_key_min(plan.k, shift, &mut shard.key_min);
-                            on_done.put(w, shard);
-                        }),
-                        on_fail: Some(Box::new(move |fail| on_fail.fail(w, fail))),
-                    });
-                }
-                debug_assert_eq!(lo, f);
-                ps.shards = gather
-                    .wait_all()
-                    .unwrap_or_else(|fail| panic!("sharded decode step failed: {fail}"));
-                for shard in &ps.shards {
-                    for (merged, &partial) in ps.key_min.iter_mut().zip(&shard.key_min) {
-                        if C::min_less(partial, *merged) {
-                            *merged = partial;
-                        }
-                    }
-                }
-            } else {
-                ps.main.expand(plan.hash, k, &plan.metric(spine));
-                ps.main.accumulate_key_min(k, shift, &mut ps.key_min);
-            }
-
-            C::select(&ps.key_min, b, &mut sh.order, &mut sh.sel_scratch);
-            commit_selection(
-                &sh.order,
-                k,
-                &mut sh.tree_roots,
-                &mut sh.new_roots,
-                &mut sh.arena,
-                &mut sh.key_to_new,
-                n_keys,
-            );
-            if parallel {
-                ps.main.clear();
-                for shard in &ps.shards {
-                    shard
-                        .fr
-                        .compact_append_into(k, shift, &sh.key_to_new, &mut ps.main);
-                }
-            } else {
-                ps.main.compact_in_place(k, shift, &sh.key_to_new);
-            }
-        }
-
-        let (cost, tree, path) = ps.main.best_leaf().expect("frontier cannot be empty");
-        let message = reconstruct_message(
-            dec.params_ref(),
-            d,
-            &sh.arena,
-            sh.tree_roots[tree as usize],
-            path,
-        );
-        DecodeResult {
-            message,
-            cost: cost.to_cost_f64(plan.dequant),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::DecodeRequest;
     use crate::bits::Message;
     use crate::encoder::Encoder;
     use crate::params::CodeParams;
     use crate::puncturing::Schedule;
+    use crate::quant::MetricProfile;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel};
+    use spinal_channel::{AwgnChannel, Channel};
 
     fn make_rx(p: &CodeParams, passes: usize, seed: u64) -> RxSymbols {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1373,48 +913,6 @@ mod tests {
         let mut ch = AwgnChannel::new(9.0, seed.wrapping_add(7));
         rx.push(&ch.transmit(&enc.next_symbols(passes * p.symbols_per_pass())));
         rx
-    }
-
-    #[test]
-    fn parallel_matches_serial_across_thread_counts() {
-        let p = CodeParams::default().with_n(96).with_b(64);
-        let rx = make_rx(&p, 2, 3);
-        for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
-            let dec = BubbleDecoder::new(&p).with_profile(profile);
-            let serial = DecodeRequest::new(&dec, &rx).decode();
-            for threads in [1, 2, 3, 5] {
-                let engine = DecodeEngine::new(threads);
-                let out = DecodeRequest::new(&dec, &rx).engine(&engine).decode();
-                assert_eq!(out.message, serial.message, "{profile:?} threads {threads}");
-                assert_eq!(
-                    out.cost.to_bits(),
-                    serial.cost.to_bits(),
-                    "{profile:?} threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bsc_parallel_matches_serial() {
-        let p = CodeParams::default().with_n(64).with_b(32);
-        let mut rng = StdRng::seed_from_u64(11);
-        let msg = Message::random(p.n, || rng.gen());
-        let mut enc = Encoder::new(&p, &msg);
-        let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
-        let mut rx = RxBits::new(schedule);
-        let mut ch = BscChannel::new(0.03, 12);
-        rx.push(&ch.transmit_bits(&enc.next_bits(8 * p.symbols_per_pass())));
-        for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
-            let dec = BubbleDecoder::new(&p).with_profile(profile);
-            let serial = DecodeRequest::new(&dec, &rx).decode();
-            for threads in [2, 4] {
-                let engine = DecodeEngine::new(threads);
-                let out = DecodeRequest::new(&dec, &rx).engine(&engine).decode();
-                assert_eq!(out.message, serial.message, "{profile:?}");
-                assert_eq!(out.cost.to_bits(), serial.cost.to_bits(), "{profile:?}");
-            }
-        }
     }
 
     #[test]
@@ -1479,9 +977,9 @@ mod tests {
 
     #[test]
     fn one_engine_serves_heterogeneous_parameters_and_profiles() {
-        // Scratch and worker workspaces are parameter- AND profile-
-        // agnostic: one engine must serve different (n, k, B, d) codes
-        // and alternating metric profiles back to back.
+        // Worker workspaces are parameter- AND profile-agnostic: one
+        // engine must serve different (n, k, B, d) codes and alternating
+        // metric profiles back to back.
         let engine = DecodeEngine::new(2);
         for (n, k, b, d) in [
             (64usize, 4usize, 16usize, 1usize),
@@ -1497,48 +995,13 @@ mod tests {
             for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
                 let dec = BubbleDecoder::new(&p).with_profile(profile);
                 let serial = DecodeRequest::new(&dec, &rx).decode();
-                let out = DecodeRequest::new(&dec, &rx).engine(&engine).decode();
+                engine.submit(&dec, &rx);
+                let out = engine.drain().remove(0).expect("clean decode");
                 assert_eq!(
                     out.message, serial.message,
                     "{profile:?} n{n} k{k} B{b} d{d}"
                 );
                 assert_eq!(out.cost.to_bits(), serial.cost.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn cached_engine_decode_matches_uncached_across_attempts() {
-        // The incremental plan path: one TableCache carried across a
-        // growing receive buffer, decoded through a pooled engine, must
-        // match the uncached engine decode bit for bit (both profiles).
-        let p = CodeParams::default().with_n(96).with_b(32);
-        let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
-        for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
-            let dec = BubbleDecoder::new(&p).with_profile(profile);
-            let engine = DecodeEngine::new(3);
-            let mut rng = StdRng::seed_from_u64(77);
-            let msg = Message::random(p.n, || rng.gen());
-            let mut enc = Encoder::new(&p, &msg);
-            let mut ch = AwgnChannel::new(8.0, 78);
-            let mut rx = RxSymbols::new(schedule.clone());
-            let mut cache = TableCache::new();
-            for attempt in 0..3 {
-                rx.push(&ch.transmit(&enc.next_symbols(p.symbols_per_pass() / 2 + 5)));
-                let cached = DecodeRequest::new(&dec, &rx)
-                    .engine(&engine)
-                    .cache(&mut cache)
-                    .decode();
-                let plain = DecodeRequest::new(&dec, &rx).engine(&engine).decode();
-                assert_eq!(
-                    cached.message, plain.message,
-                    "{profile:?} attempt {attempt}"
-                );
-                assert_eq!(
-                    cached.cost.to_bits(),
-                    plain.cost.to_bits(),
-                    "{profile:?} attempt {attempt}"
-                );
             }
         }
     }

@@ -76,16 +76,10 @@ pub struct ServiceConfig {
     pub max_inflight: usize,
     /// Queue ordering policy.
     pub policy: SchedulePolicy,
-    /// Quarantine a session after this many consecutive
-    /// [`Session::mark_failed`] calls: further submits fail with
-    /// [`SubmitError::Quarantined`] until [`Session::mark_ok`]. `0`
-    /// (the default) disables quarantine. Quarantine counts *caller*-
-    /// reported failures (e.g. CRC rejects) monotonically; the breakers
-    /// below react to *structured* failures ([`DecodeFailure`]) within a
-    /// time window and heal themselves — they generalize, not replace.
-    pub quarantine_after: u32,
-    /// Per-session circuit breaker over structured decode failures.
-    /// `None` (the default) disables it.
+    /// Per-session circuit breaker over structured decode failures
+    /// ([`DecodeFailure`]) and caller-reported ones
+    /// ([`Session::mark_failed`], e.g. CRC rejects). `None` (the
+    /// default) disables it.
     pub session_breaker: Option<BreakerConfig>,
     /// Per-decoder-config circuit breaker: one breaker per distinct
     /// `(CodeParams, MetricProfile)` shape across all sessions, so a
@@ -104,7 +98,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             max_inflight: 0,
             policy: SchedulePolicy::Fifo,
-            quarantine_after: 0,
             session_breaker: None,
             config_breaker: None,
             brownout: None,
@@ -113,12 +106,12 @@ impl Default for ServiceConfig {
 }
 
 /// Circuit-breaker tuning: closed → open after [`BreakerConfig::failures`]
-/// structured failures inside [`BreakerConfig::window`]; open → half-open
+/// failures inside [`BreakerConfig::window`]; open → half-open
 /// (one probe admitted) after [`BreakerConfig::cooldown`]; the probe's
 /// outcome closes the breaker or re-opens it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Structured failures within `window` that trip the breaker open.
+    /// Failures within `window` that trip the breaker open.
     pub failures: u32,
     /// Sliding window over which failures are counted.
     pub window: Duration,
@@ -201,7 +194,7 @@ impl BreakerCore {
         }
     }
 
-    /// Record one structured failure; returns `true` when this failure
+    /// Record one failure; returns `true` when this failure
     /// trips the breaker open (from closed or from a half-open probe).
     fn record_failure(&mut self, cfg: &BreakerConfig, now: Instant) -> bool {
         match self.state {
@@ -232,10 +225,13 @@ impl BreakerCore {
         }
     }
 
-    /// Record one clean completion; returns `true` when it closes a
-    /// half-open breaker.
-    fn record_success(&mut self) -> bool {
-        self.recent.clear();
+    /// Record one success; returns `true` when it closes a half-open
+    /// breaker. With `reset`, the failures counted so far are cleared
+    /// too.
+    fn record_success(&mut self, reset: bool) -> bool {
+        if reset {
+            self.recent.clear();
+        }
         if matches!(self.state, BreakerState::HalfOpen) {
             self.state = BreakerState::Closed;
             true
@@ -322,15 +318,9 @@ pub enum SubmitError {
     /// This session already has an attempt in flight; `wait` for it (or
     /// poll [`Session::try_result`]) before submitting again.
     AttemptInFlight,
-    /// The session crossed [`ServiceConfig::quarantine_after`]
-    /// consecutive failures; [`Session::mark_ok`] lifts the quarantine.
-    Quarantined {
-        /// Consecutive failures recorded on the session.
-        failures: u32,
-    },
     /// A circuit breaker is open for this session (or its decoder
-    /// configuration): recent attempts kept failing structurally, and
-    /// the breaker refuses new work until the cooldown admits a probe.
+    /// configuration): recent attempts kept failing, and the breaker
+    /// refuses new work until the cooldown admits a probe.
     CircuitOpen {
         /// Which breaker refused the submit.
         scope: BreakerScope,
@@ -350,12 +340,6 @@ impl std::fmt::Display for SubmitError {
             }
             SubmitError::AttemptInFlight => {
                 write!(f, "session already has a decode attempt in flight")
-            }
-            SubmitError::Quarantined { failures } => {
-                write!(
-                    f,
-                    "session quarantined after {failures} consecutive failures"
-                )
             }
             SubmitError::CircuitOpen { scope, retry_in } => {
                 let which = match scope {
@@ -586,7 +570,6 @@ struct MetricsInner {
     cancelled: u64,
     deadline_expired: u64,
     deadline_misses: u64,
-    quarantined: u64,
     failed: u64,
     worker_panics: u64,
     breaker_opened: u64,
@@ -616,7 +599,10 @@ pub struct MetricsSnapshot {
     pub sessions_closed: u64,
     /// Decode attempts accepted.
     pub submits: u64,
-    /// Decode attempts refused by backpressure.
+    /// Decode attempts refused: by backpressure
+    /// ([`SubmitError::QueueFull`]) or by an open circuit breaker
+    /// ([`SubmitError::CircuitOpen`], also counted in
+    /// `breaker_rejected`).
     pub submits_rejected: u64,
     /// Decode attempts completed (including stale ones).
     pub completions: u64,
@@ -634,9 +620,6 @@ pub struct MetricsSnapshot {
     /// Attempts that completed *after* their session's wall-clock
     /// deadline (result still delivered; the miss is the signal).
     pub deadline_misses: u64,
-    /// Sessions that crossed [`ServiceConfig::quarantine_after`]
-    /// consecutive failures (counted once per crossing).
-    pub sessions_quarantined: u64,
     /// Attempts that ended in a structured [`DecodeFailure`] (worker
     /// panic or watchdog cancel) — each also ends its submit exactly
     /// once, like a completion.
@@ -679,7 +662,7 @@ impl MetricsSnapshot {
                 "\"submits_rejected\":{},\"completions\":{},",
                 "\"stale_completions\":{},\"retries_total\":{},",
                 "\"attempts_cancelled\":{},\"attempts_deadline_expired\":{},",
-                "\"deadline_misses\":{},\"sessions_quarantined\":{},",
+                "\"deadline_misses\":{},",
                 "\"attempts_failed\":{},\"worker_panics\":{},",
                 "\"breaker_opened\":{},\"breaker_closed\":{},",
                 "\"breaker_rejected\":{},\"brownout_sheds\":{},",
@@ -701,7 +684,6 @@ impl MetricsSnapshot {
             self.attempts_cancelled,
             self.attempts_deadline_expired,
             self.deadline_misses,
-            self.sessions_quarantined,
             self.attempts_failed,
             self.worker_panics,
             self.breaker_opened,
@@ -761,7 +743,7 @@ impl DecodeService {
     }
 
     /// Create a service around an existing engine (the engine's batch
-    /// and sharded-decode entry points remain usable alongside).
+    /// and submit/drain entry points remain usable alongside).
     pub fn with_engine(engine: DecodeEngine, cfg: ServiceConfig) -> Self {
         let max_inflight = if cfg.max_inflight == 0 {
             engine.threads()
@@ -792,7 +774,6 @@ impl DecodeService {
                     cancelled: 0,
                     deadline_expired: 0,
                     deadline_misses: 0,
-                    quarantined: 0,
                     failed: 0,
                     worker_panics: 0,
                     breaker_opened: 0,
@@ -886,7 +867,6 @@ impl DecodeService {
             wall_deadline: opts.wall_deadline,
             position: 0,
             attempts: 0,
-            failures: 0,
             breaker: BreakerCore::new(),
             sheds: 0,
             poison: None,
@@ -912,7 +892,6 @@ impl DecodeService {
             attempts_cancelled: m.cancelled,
             attempts_deadline_expired: m.deadline_expired,
             deadline_misses: m.deadline_misses,
-            sessions_quarantined: m.quarantined,
             attempts_failed: m.failed,
             worker_panics: m.worker_panics,
             breaker_opened: m.breaker_opened,
@@ -1209,8 +1188,8 @@ pub struct Session {
     wall_deadline: Option<Instant>,
     position: usize,
     attempts: u64,
-    failures: u32,
-    /// Per-session circuit breaker over structured failures.
+    /// Per-session circuit breaker over structured and caller-reported
+    /// failures.
     breaker: BreakerCore,
     /// Attempts shed by the brownout overload policy.
     sheds: u64,
@@ -1259,22 +1238,18 @@ impl Session {
     /// [`SubmitError::AttemptInFlight`] if this session already has an
     /// attempt outstanding, or [`SubmitError::CircuitOpen`] while a
     /// configured circuit breaker (session or decoder-config scope) is
-    /// open after repeated structured failures.
+    /// open after repeated failures.
     pub fn submit(&mut self) -> Result<(), SubmitError> {
         if self.res.is_none() {
             return Err(SubmitError::AttemptInFlight);
-        }
-        if self.quarantined() {
-            self.svc.inner.metrics.lock().rejected += 1;
-            return Err(SubmitError::Quarantined {
-                failures: self.failures,
-            });
         }
         let inner = &self.svc.inner;
         let now = Instant::now();
         if let Some(bcfg) = inner.cfg.session_breaker.as_ref() {
             if let Err(retry_in) = self.breaker.admit(bcfg, now) {
-                inner.metrics.lock().breaker_rejected += 1;
+                let mut m = inner.metrics.lock();
+                m.breaker_rejected += 1;
+                m.rejected += 1;
                 return Err(SubmitError::CircuitOpen {
                     scope: BreakerScope::Session,
                     retry_in,
@@ -1286,7 +1261,9 @@ impl Session {
             let core = map.entry(self.cfg_key).or_insert_with(BreakerCore::new);
             if let Err(retry_in) = core.admit(bcfg, now) {
                 drop(map);
-                inner.metrics.lock().breaker_rejected += 1;
+                let mut m = inner.metrics.lock();
+                m.breaker_rejected += 1;
+                m.rejected += 1;
                 return Err(SubmitError::CircuitOpen {
                     scope: BreakerScope::DecoderConfig,
                     retry_in,
@@ -1377,7 +1354,7 @@ impl Session {
             SlotState::Ready(boxed) => {
                 let (result, res) = *boxed;
                 self.res = Some(res);
-                self.record_outcome(true);
+                self.record_outcome(true, false);
                 Some(Ok(result))
             }
             SlotState::Returned(res) => {
@@ -1400,7 +1377,7 @@ impl Session {
                 // with an empty receive buffer. Rateless recovery is
                 // just "receive more symbols": the session stays live.
                 self.res = Some(recovered.unwrap_or_else(|| self.rebuild_res()));
-                self.record_outcome(false);
+                self.record_outcome(false, false);
                 Some(Err(failure))
             }
             _ => unreachable!("settle called on a non-terminal slot state"),
@@ -1425,25 +1402,30 @@ impl Session {
         }
     }
 
-    /// Record one surfaced attempt outcome on the configured breakers
-    /// (session scope and decoder-config scope).
-    fn record_outcome(&mut self, ok: bool) {
+    /// Record one outcome on the configured breakers. An attempt's
+    /// outcome (`caller == false`) goes to the session and the
+    /// decoder-config breaker; a clean attempt closes a half-open
+    /// session breaker but leaves its failure count alone, because the
+    /// caller may still reject the result. A caller's verdict
+    /// ([`Session::mark_failed`], [`Session::mark_ok`]) goes to the
+    /// session breaker only, and a caller success clears its count.
+    fn record_outcome(&mut self, ok: bool, caller: bool) {
         let inner = &self.svc.inner;
         let now = Instant::now();
         let mut opened = 0u64;
         let mut closed = 0u64;
         if let Some(bcfg) = inner.cfg.session_breaker.as_ref() {
             if ok {
-                closed += u64::from(self.breaker.record_success());
+                closed += u64::from(self.breaker.record_success(caller));
             } else {
                 opened += u64::from(self.breaker.record_failure(bcfg, now));
             }
         }
-        if let Some(bcfg) = inner.cfg.config_breaker.as_ref() {
+        if let Some(bcfg) = inner.cfg.config_breaker.as_ref().filter(|_| !caller) {
             let mut map = inner.breakers.lock();
             let core = map.entry(self.cfg_key).or_insert_with(BreakerCore::new);
             if ok {
-                closed += u64::from(core.record_success());
+                closed += u64::from(core.record_success(true));
             } else {
                 opened += u64::from(core.record_failure(bcfg, now));
             }
@@ -1563,36 +1545,20 @@ impl Session {
         }
     }
 
-    /// Record one failed attempt (e.g. a CRC-rejected decode) toward
-    /// quarantine; returns the consecutive-failure count. Crossing
-    /// [`ServiceConfig::quarantine_after`] counts the session in
-    /// [`MetricsSnapshot::sessions_quarantined`] once.
-    pub fn mark_failed(&mut self) -> u32 {
-        self.failures = self.failures.saturating_add(1);
-        let threshold = self.svc.inner.cfg.quarantine_after;
-        if threshold > 0 && self.failures == threshold {
-            self.svc.inner.metrics.lock().quarantined += 1;
-        }
-        self.failures
+    /// Record a caller-detected failure (e.g. a CRC-rejected decode) on
+    /// the session's circuit breaker. It counts like a structured decode
+    /// failure: [`BreakerConfig::failures`] of them inside the window,
+    /// across attempts, open the breaker. A no-op without
+    /// [`ServiceConfig::session_breaker`].
+    pub fn mark_failed(&mut self) {
+        self.record_outcome(false, true);
     }
 
-    /// Reset the consecutive-failure count (e.g. after a successful
-    /// decode), lifting any quarantine.
+    /// Record a caller-verified success (e.g. a CRC-clean decode) on the
+    /// session's circuit breaker: clears its failure count and closes it
+    /// if it was half-open.
     pub fn mark_ok(&mut self) {
-        self.failures = 0;
-    }
-
-    /// True when the session has crossed
-    /// [`ServiceConfig::quarantine_after`] consecutive failures and
-    /// submits are refused.
-    pub fn quarantined(&self) -> bool {
-        let threshold = self.svc.inner.cfg.quarantine_after;
-        threshold > 0 && self.failures >= threshold
-    }
-
-    /// Consecutive failures recorded since the last [`Session::mark_ok`].
-    pub fn failures(&self) -> u32 {
-        self.failures
+        self.record_outcome(true, true);
     }
 
     /// Attempts of this session shed by the brownout overload policy.
@@ -1897,7 +1863,6 @@ mod tests {
             "attempts_cancelled",
             "attempts_deadline_expired",
             "deadline_misses",
-            "sessions_quarantined",
             "attempts_failed",
             "worker_panics",
             "breaker_opened",
@@ -2045,48 +2010,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_refuses_submits_until_marked_ok() {
-        let cfg = ServiceConfig {
-            quarantine_after: 2,
-            ..ServiceConfig::default()
-        };
-        let svc = DecodeService::new(1, cfg);
-        let (params, _message, ys) = setup(41);
-        let dec = Arc::new(BubbleDecoder::new(&params));
-        let mut session = svc
-            .open_session(
-                &dec,
-                SessionBuffer::Symbols(rx_for(&params, &ys)),
-                SessionOptions::default(),
-            )
-            .expect("admitted");
-        assert_eq!(session.mark_failed(), 1);
-        assert!(!session.quarantined(), "one failure is below the bar");
-        session.submit().expect("still allowed");
-        assert!(session.wait().is_some());
-        assert_eq!(session.mark_failed(), 2);
-        assert!(session.quarantined());
-        assert_eq!(
-            session.submit(),
-            Err(SubmitError::Quarantined { failures: 2 })
-        );
-        let m = svc.metrics();
-        assert_eq!(m.sessions_quarantined, 1);
-        assert_eq!(m.submits_rejected, 1);
-        // Recovery lifts the quarantine.
-        session.mark_ok();
-        assert!(!session.quarantined());
-        session.submit().expect("quarantine lifted");
-        assert!(session.wait().is_some());
-        // Crossing the threshold twice counts the session twice — it is
-        // a "times quarantined" counter, not a live gauge.
-        session.mark_failed();
-        session.mark_failed();
-        assert_eq!(svc.metrics().sessions_quarantined, 2);
-    }
-
-    #[test]
-    fn quarantine_disabled_by_default() {
+    fn mark_failed_is_inert_without_a_session_breaker() {
         let svc = DecodeService::new(1, ServiceConfig::default());
         let (params, _message, ys) = setup(43);
         let dec = Arc::new(BubbleDecoder::new(&params));
@@ -2100,10 +2024,11 @@ mod tests {
         for _ in 0..100 {
             session.mark_failed();
         }
-        assert!(!session.quarantined(), "quarantine_after=0 disables it");
         session.submit().expect("never refused");
         assert!(session.wait().is_some());
-        assert_eq!(svc.metrics().sessions_quarantined, 0);
+        let m = svc.metrics();
+        assert_eq!(m.breaker_opened, 0);
+        assert_eq!(m.submits_rejected, 0);
     }
 
     #[test]

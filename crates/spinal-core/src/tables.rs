@@ -69,12 +69,11 @@ impl SymbolTables {
 /// Reusable branch-metric tables for the decode attempts of one rateless
 /// trial.
 ///
-/// Hold one per trial and decode through
-/// [`BubbleDecoder::decode_with_cache`](crate::BubbleDecoder::decode_with_cache)
-/// (or [`DecodeEngine::decode_parallel_cached`](crate::DecodeEngine::decode_parallel_cached)):
-/// each attempt folds in only the observations received since the
-/// previous attempt instead of rebuilding every table from the whole
-/// buffer. Results are bit-identical to the uncached entry points.
+/// Hold one per trial and pass it to
+/// [`DecodeRequest::cache`](crate::DecodeRequest::cache): each attempt
+/// folds in only the observations received since the previous attempt
+/// instead of rebuilding every table from the whole buffer. Results are
+/// bit-identical to the uncached decode.
 ///
 /// The cache assumes the receive buffer **grows monotonically** between
 /// calls (the §7.1 shape). Switching to a different buffer, a different

@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel, RayleighChannel};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeResult, Encoder, Message, RxBits,
-    RxSymbols, Schedule,
+    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeResult, Encoder, Message,
+    MetricProfile, RxBits, RxSymbols, Schedule,
 };
 
 #[derive(Clone, Copy)]
@@ -172,124 +172,78 @@ const EXPECTED: &[(&str, f64)] = &[
     ("0da5ddd8a01c2e9f", 0.26458027083009833),
 ];
 
-/// The parallel engine must reproduce the serial decoder bit for bit —
-/// decoded message bytes AND cost bits — on every corpus case, at every
-/// tested thread count, through long-lived engines reused across
-/// heterogeneous cases (the deployment shape). Batch decoding of the
-/// symbol cases rides along through the same engines.
-#[test]
-fn parallel_engine_matches_serial_on_corpus_at_every_thread_count() {
+/// Decode every symbol case of the corpus serially under `profile`,
+/// then through `decode_batch_parallel` and through `submit`/`drain` on
+/// long-lived engines of {1, 2, 3, 8} threads reused across the
+/// heterogeneous cases (the deployment shape), and require bit-for-bit
+/// agreement: decoded message bytes AND cost bits. Same-parameter runs
+/// of cases go through the engine together, as one batch or one drained
+/// generation.
+fn assert_engine_paths_match_serial(profile: MetricProfile) {
     let engines: Vec<DecodeEngine> = [1usize, 2, 3, 8]
         .iter()
         .map(|&t| DecodeEngine::new(t))
         .collect();
-    let mut symbol_batch: Vec<(CodeParams, RxSymbols, DecodeResult)> = Vec::new();
+    // Runs of same-parameter cases: (params, [(case index, rx, serial)]).
+    type Group = (CodeParams, Vec<(usize, RxSymbols, DecodeResult)>);
+    let mut groups: Vec<Group> = Vec::new();
     for (i, case) in cases().iter().enumerate() {
         let (params, rx) = build_case(case);
-        let dec = BubbleDecoder::new(&params);
-        let serial = match &rx {
-            Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).decode(),
-            Rx::Bits(rx) => DecodeRequest::new(&dec, rx).decode(),
-        };
-        for engine in &engines {
-            let parallel = match &rx {
-                Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).engine(engine).decode(),
-                Rx::Bits(rx) => DecodeRequest::new(&dec, rx).engine(engine).decode(),
-            };
-            assert_eq!(
-                parallel.message,
-                serial.message,
-                "case {i} (n={} k={} B={} d={} seed={}) at {} threads: message drifted",
-                case.n,
-                case.k,
-                case.b,
-                case.d,
-                case.seed,
-                engine.threads()
-            );
-            assert_eq!(
-                parallel.cost.to_bits(),
-                serial.cost.to_bits(),
-                "case {i} at {} threads: cost drifted",
-                engine.threads()
-            );
-        }
-        if let Rx::Symbols(rx) = rx {
-            symbol_batch.push((params, rx, serial));
+        let Rx::Symbols(rx) = rx else { continue };
+        let dec = BubbleDecoder::new(&params).with_profile(profile);
+        let serial = DecodeRequest::new(&dec, &rx).decode();
+        assert_eq!(serial.message.len_bits(), params.n, "case {i}");
+        match groups.last_mut() {
+            Some((p, group)) if *p == params => group.push((i, rx, serial)),
+            _ => groups.push((params, vec![(i, rx, serial)])),
         }
     }
-    // Inter-block path: batch all same-parameter symbol cases per shape
-    // through decode_batch_parallel and compare against the serial
-    // results gathered above.
     for engine in &engines {
-        let mut i = 0;
-        while i < symbol_batch.len() {
-            // Group a run of identical parameter sets.
-            let params = symbol_batch[i].0.clone();
-            let mut j = i;
-            while j < symbol_batch.len() && symbol_batch[j].0 == params {
-                j += 1;
+        let threads = engine.threads();
+        for (params, group) in &groups {
+            let dec = BubbleDecoder::new(params).with_profile(profile);
+            let rxs: Vec<RxSymbols> = group.iter().map(|(_, rx, _)| rx.clone()).collect();
+            let batch = engine.decode_batch_parallel(&dec, &rxs);
+            for rx in &rxs {
+                engine.submit(&dec, rx);
             }
-            let dec = BubbleDecoder::new(&params);
-            let rxs: Vec<RxSymbols> = symbol_batch[i..j]
-                .iter()
-                .map(|(_, rx, _)| rx.clone())
-                .collect();
-            let outs = engine.decode_batch_parallel(&dec, &rxs);
-            for ((_, _, serial), out) in symbol_batch[i..j].iter().zip(&outs) {
-                assert_eq!(
-                    out.message,
-                    serial.message,
-                    "batch at {} threads",
-                    engine.threads()
-                );
-                assert_eq!(out.cost.to_bits(), serial.cost.to_bits());
+            let drained = engine.drain();
+            assert_eq!(batch.len(), group.len());
+            assert_eq!(drained.len(), group.len());
+            for (((i, _, serial), batched), drained) in group.iter().zip(&batch).zip(drained) {
+                let drained = drained.expect("clean submit decodes");
+                for (path, out) in [("batch", batched), ("submit/drain", &drained)] {
+                    assert_eq!(
+                        out.message, serial.message,
+                        "{profile:?} case {i} ({path}, {threads} threads): message drifted"
+                    );
+                    assert_eq!(
+                        out.cost.to_bits(),
+                        serial.cost.to_bits(),
+                        "{profile:?} case {i} ({path}, {threads} threads): cost drifted"
+                    );
+                }
             }
-            i = j;
         }
     }
 }
 
+/// The engine's pooled paths must reproduce the serial exact-profile
+/// decoder bit for bit on every symbol case of the corpus.
+#[test]
+fn parallel_engine_matches_serial_on_corpus_at_every_thread_count() {
+    assert_engine_paths_match_serial(MetricProfile::Exact);
+}
+
 /// The quantized profile is NOT pinned against the recorded exact
 /// corpus (its equivalence contract is statistical), but it must be
-/// exactly as deterministic: on every corpus case — real AWGN/BSC/
-/// fading signals across the (n, k, B, d) grid — the serial quantized
-/// decode must match the engine-sharded quantized decode bit for bit at
-/// every thread count.
+/// exactly as deterministic: on every symbol case of the corpus — real
+/// AWGN/fading signals across the (n, k, B, d) grid — the serial
+/// quantized decode must match the engine's pooled decodes bit for bit
+/// at every thread count.
 #[test]
 fn quantized_profile_is_engine_deterministic_on_corpus() {
-    use spinal_core::MetricProfile;
-    let engines: Vec<DecodeEngine> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| DecodeEngine::new(t))
-        .collect();
-    for (i, case) in cases().iter().enumerate() {
-        let (params, rx) = build_case(case);
-        let dec = BubbleDecoder::new(&params).with_profile(MetricProfile::Quantized);
-        let serial = match &rx {
-            Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).decode(),
-            Rx::Bits(rx) => DecodeRequest::new(&dec, rx).decode(),
-        };
-        assert_eq!(serial.message.len_bits(), params.n, "case {i}");
-        for engine in &engines {
-            let parallel = match &rx {
-                Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).engine(engine).decode(),
-                Rx::Bits(rx) => DecodeRequest::new(&dec, rx).engine(engine).decode(),
-            };
-            assert_eq!(
-                parallel.message,
-                serial.message,
-                "case {i} at {} threads: quantized message drifted",
-                engine.threads()
-            );
-            assert_eq!(
-                parallel.cost.to_bits(),
-                serial.cost.to_bits(),
-                "case {i} at {} threads: quantized cost drifted",
-                engine.threads()
-            );
-        }
-    }
+    assert_engine_paths_match_serial(MetricProfile::Quantized);
 }
 
 #[test]

@@ -37,16 +37,6 @@ fn float_cmp_fixture_is_flagged() {
 }
 
 #[test]
-fn deprecated_api_fixture_is_flagged() {
-    let f = scan_fixture("deprecated_api.rs");
-    let hits = rule_lines(&f, "deprecated-decode-api");
-    // decode(target), decode_bsc, decode_parallel, decode_with_cache —
-    // nothing for the blessed argument-less `.decode()` terminal, and
-    // nothing for another decoder type's own `decode_bsc`.
-    assert_eq!(hits, vec![7, 8, 9, 10], "{f:#?}");
-}
-
-#[test]
 fn thread_spawn_fixture_is_flagged() {
     let f = scan_fixture("thread_spawn.rs");
     let hits = rule_lines(&f, "thread-spawn");

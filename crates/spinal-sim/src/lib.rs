@@ -47,8 +47,7 @@ pub use bler::{BlerEstimate, BlerRun};
 pub use linklayer::{LinkLayerRun, LinkOutcome};
 pub use raptor_run::RaptorRun;
 pub use spinal_run::{
-    run_bsc_trial, run_bsc_trial_with_engine, run_bsc_trial_with_profile,
-    run_bsc_trial_with_workspace, LinkChannel, SpinalRun,
+    run_bsc_trial, run_bsc_trial_with_profile, run_bsc_trial_with_workspace, LinkChannel, SpinalRun,
 };
 pub use stats::{mean_fraction_of_capacity, summarize, summarize_vs_capacity, PointSummary, Trial};
 pub use strider_run::{StriderChannel, StriderRun};

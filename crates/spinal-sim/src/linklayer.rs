@@ -9,7 +9,7 @@
 
 use crate::spinal_run::SpinalRun;
 use crate::stats::Trial;
-use spinal_core::{DecodeEngine, DecodeWorkspace};
+use spinal_core::DecodeWorkspace;
 
 /// Configuration of the half-duplex feedback loop.
 #[derive(Debug, Clone)]
@@ -60,19 +60,6 @@ impl LinkLayerRun {
         self.frame_outcome(trial)
     }
 
-    /// [`LinkLayerRun::run_trial`] with decode attempts dispatched
-    /// through a shared [`DecodeEngine`] (intra-block parallelism);
-    /// identical outcomes to the workspace path at every thread count.
-    pub fn run_trial_with_engine(
-        &self,
-        snr_db: f64,
-        seed: u64,
-        engine: &DecodeEngine,
-    ) -> LinkOutcome {
-        let trial = self.run.run_trial_with_engine(snr_db, seed, engine);
-        self.frame_outcome(trial)
-    }
-
     /// Fold a rateless trial into the burst/feedback frame accounting.
     fn frame_outcome(&self, trial: Trial) -> LinkOutcome {
         assert!(self.burst_symbols > 0);
@@ -115,15 +102,6 @@ impl LinkLayerRun {
         ws: &mut DecodeWorkspace,
     ) -> f64 {
         match self.run.run_trial_with_workspace(snr_db, seed, ws).symbols {
-            Some(s) => self.run.params.n as f64 / s as f64,
-            None => 0.0,
-        }
-    }
-
-    /// [`LinkLayerRun::ideal_rate`] decoding through a shared
-    /// [`DecodeEngine`].
-    pub fn ideal_rate_with_engine(&self, snr_db: f64, seed: u64, engine: &DecodeEngine) -> f64 {
-        match self.run.run_trial_with_engine(snr_db, seed, engine).symbols {
             Some(s) => self.run.params.n as f64 / s as f64,
             None => 0.0,
         }
@@ -200,25 +178,6 @@ mod tests {
         assert!(!out.delivered);
         assert_eq!(out.effective_rate, 0.0);
         assert!(out.data_symbols > 0);
-    }
-
-    #[test]
-    fn engine_trial_matches_workspace_trial() {
-        let ll = LinkLayerRun {
-            run: base(),
-            burst_symbols: 16,
-            feedback_symbols: 4,
-        };
-        for threads in [1, 2, 3] {
-            let engine = DecodeEngine::new(threads);
-            for seed in 0..3 {
-                assert_eq!(
-                    ll.run_trial_with_engine(12.0, seed, &engine),
-                    ll.run_trial(12.0, seed),
-                    "threads {threads} seed {seed}"
-                );
-            }
-        }
     }
 
     #[test]

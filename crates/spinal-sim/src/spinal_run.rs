@@ -7,44 +7,9 @@ use rand::{Rng, SeedableRng};
 use spinal_channel::capacity::{awgn_capacity_db, bsc_capacity, rayleigh_ergodic_capacity_db};
 use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel, RayleighChannel};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeWorkspace, Encoder, Message,
-    MetricProfile, RxBits, RxSymbols, Schedule, TableCache,
+    BubbleDecoder, CodeParams, DecodeRequest, DecodeWorkspace, Encoder, Message, MetricProfile,
+    RxBits, RxSymbols, Schedule, TableCache,
 };
-
-/// How a trial's decode attempts are dispatched: through a caller-held
-/// workspace (serial, the sweep default) or through a shared
-/// [`DecodeEngine`] (intra-block parallel). The engine path is
-/// bit-for-bit identical to the workspace path at every thread count —
-/// the decoder's reductions are order-independent — so the choice is
-/// purely about hardware utilisation. Both shapes are expressed as one
-/// [`DecodeRequest`] per attempt; this alias only names the resources a
-/// trial threads through its attempt loop.
-///
-/// Symbol decodes go through a per-trial [`TableCache`]: branch-metric
-/// tables are additive over observations, so each attempt folds in only
-/// the symbols received since the previous attempt instead of rebuilding
-/// every table from the whole buffer (bit-identical by construction).
-struct Dispatch<'a> {
-    ws: Option<&'a mut DecodeWorkspace>,
-    engine: Option<&'a DecodeEngine>,
-}
-
-impl Dispatch<'_> {
-    fn request<'r>(
-        &'r mut self,
-        decoder: &'r BubbleDecoder,
-        rx: impl Into<spinal_core::RxObservations<'r>>,
-    ) -> DecodeRequest<'r> {
-        let mut req = DecodeRequest::new(decoder, rx);
-        if let Some(ws) = self.ws.as_deref_mut() {
-            req = req.workspace(ws);
-        }
-        if let Some(engine) = self.engine {
-            req = req.engine(engine);
-        }
-        req
-    }
-}
 
 /// Which link model a spinal trial runs over.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,34 +137,6 @@ impl SpinalRun {
         seed: u64,
         ws: &mut DecodeWorkspace,
     ) -> Trial {
-        self.run_trial_via(
-            snr_db,
-            seed,
-            Dispatch {
-                ws: Some(ws),
-                engine: None,
-            },
-        )
-    }
-
-    /// [`SpinalRun::run_trial`] with every decode attempt dispatched
-    /// through a [`DecodeEngine`], sharding each attempt's beam across
-    /// the engine's workers. Identical trial outcomes (bit-for-bit) to
-    /// the workspace path; use when trials are too few to saturate the
-    /// machine on their own — e.g. the inner budget handed out by
-    /// [`crate::threads::Threads::split`].
-    pub fn run_trial_with_engine(&self, snr_db: f64, seed: u64, engine: &DecodeEngine) -> Trial {
-        self.run_trial_via(
-            snr_db,
-            seed,
-            Dispatch {
-                ws: None,
-                engine: Some(engine),
-            },
-        )
-    }
-
-    fn run_trial_via(&self, snr_db: f64, seed: u64, mut via: Dispatch<'_>) -> Trial {
         let p = &self.params;
         let mut rng = StdRng::seed_from_u64(seed);
         let msg = Message::random(p.n, || rng.gen());
@@ -283,8 +220,8 @@ impl SpinalRun {
             if sent < next_attempt {
                 continue;
             }
-            if via
-                .request(&decoder, &rx)
+            if DecodeRequest::new(&decoder, &rx)
+                .workspace(ws)
                 .cache(&mut cache)
                 .decode()
                 .message
@@ -334,10 +271,7 @@ pub fn run_bsc_trial_with_workspace(
         oracle_skip,
         seed,
         MetricProfile::Exact,
-        Dispatch {
-            ws: Some(ws),
-            engine: None,
-        },
+        ws,
     )
 }
 
@@ -352,42 +286,7 @@ pub fn run_bsc_trial_with_profile(
     profile: MetricProfile,
     ws: &mut DecodeWorkspace,
 ) -> Trial {
-    run_bsc_trial_via(
-        params,
-        flip_p,
-        max_passes,
-        oracle_skip,
-        seed,
-        profile,
-        Dispatch {
-            ws: Some(ws),
-            engine: None,
-        },
-    )
-}
-
-/// [`run_bsc_trial`] decoding through a [`DecodeEngine`] (see
-/// [`SpinalRun::run_trial_with_engine`]).
-pub fn run_bsc_trial_with_engine(
-    params: &CodeParams,
-    flip_p: f64,
-    max_passes: usize,
-    oracle_skip: bool,
-    seed: u64,
-    engine: &DecodeEngine,
-) -> Trial {
-    run_bsc_trial_via(
-        params,
-        flip_p,
-        max_passes,
-        oracle_skip,
-        seed,
-        MetricProfile::Exact,
-        Dispatch {
-            ws: None,
-            engine: Some(engine),
-        },
-    )
+    run_bsc_trial_via(params, flip_p, max_passes, oracle_skip, seed, profile, ws)
 }
 
 fn run_bsc_trial_via(
@@ -397,7 +296,7 @@ fn run_bsc_trial_via(
     oracle_skip: bool,
     seed: u64,
     profile: MetricProfile,
-    mut via: Dispatch<'_>,
+    ws: &mut DecodeWorkspace,
 ) -> Trial {
     let mut rng = StdRng::seed_from_u64(seed);
     let msg = Message::random(params.n, || rng.gen());
@@ -424,7 +323,12 @@ fn run_bsc_trial_via(
         if sent < min_attempt {
             continue;
         }
-        if via.request(&decoder, &rx).decode().message == msg {
+        if DecodeRequest::new(&decoder, &rx)
+            .workspace(ws)
+            .decode()
+            .message
+            == msg
+        {
             return Trial::success(params.n, sent);
         }
     }
@@ -487,10 +391,10 @@ mod tests {
     }
 
     #[test]
-    fn quantized_profile_trials_decode_and_are_dispatch_invariant() {
+    fn quantized_profile_trials_decode_and_are_workspace_invariant() {
         // The quantized fast path must (a) actually decode at sane
-        // rates and (b) measure identical trials through the workspace
-        // and engine dispatch paths at several thread budgets.
+        // rates and (b) measure identical trials through a fresh and a
+        // reused workspace.
         let run = SpinalRun::new(fast_params()).with_profile(MetricProfile::Quantized);
         let mut ws = DecodeWorkspace::new();
         let mut ok = 0;
@@ -500,14 +404,6 @@ mod tests {
                 ok += 1;
             }
             assert_eq!(base, run.run_trial_with_workspace(snr, seed, &mut ws));
-            for threads in [1, 2, 4] {
-                let engine = DecodeEngine::new(threads);
-                assert_eq!(
-                    base,
-                    run.run_trial_with_engine(snr, seed, &engine),
-                    "threads {threads} snr {snr}"
-                );
-            }
         }
         assert_eq!(ok, 3, "quantized trials should decode at these SNRs");
         // BSC: quantized Hamming is the same integer computation.
@@ -548,30 +444,6 @@ mod tests {
                 run_bsc_trial_with_workspace(&p, 0.03, 30, true, seed, &mut ws),
                 run_bsc_trial(&p, 0.03, 30, true, seed),
                 "bsc seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn engine_trials_match_workspace_trials_bit_for_bit() {
-        // The engine path (intra-block parallel decode) must measure the
-        // exact same trials as the serial workspace path, at several
-        // thread budgets, over both metric kinds.
-        let run = SpinalRun::new(fast_params());
-        let p = fast_params();
-        for threads in [1, 2, 4] {
-            let engine = DecodeEngine::new(threads);
-            for (snr, seed) in [(15.0, 1u64), (8.0, 2), (6.0, 3)] {
-                assert_eq!(
-                    run.run_trial_with_engine(snr, seed, &engine),
-                    run.run_trial(snr, seed),
-                    "threads {threads} snr {snr} seed {seed}"
-                );
-            }
-            assert_eq!(
-                run_bsc_trial_with_engine(&p, 0.03, 30, true, 5, &engine),
-                run_bsc_trial(&p, 0.03, 30, true, 5),
-                "bsc threads {threads}"
             );
         }
     }

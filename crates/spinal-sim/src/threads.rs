@@ -15,9 +15,9 @@
 //!
 //! The same budget feeds both layers of parallelism:
 //! [`run_parallel_with`](crate::sweep::run_parallel_with) for
-//! trial-level fan-out and `spinal_core::DecodeEngine` for block-level
-//! fan-out. [`Threads::split`] divides one budget across the two layers
-//! so they compose without oversubscribing cores.
+//! trial-level fan-out and `spinal_core::DecodeEngine` for batched
+//! block decoding. [`Threads::split`] divides one budget across the two
+//! layers so they compose without oversubscribing cores.
 
 /// A validated thread budget (always `1 ..= Threads::MAX`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +81,10 @@ impl Threads {
     /// Split this budget between trial-level workers and a per-worker
     /// decode-engine budget: `(outer, inner)` with `outer·inner ≤
     /// budget` (and `outer ≤ jobs`). With many jobs the whole budget
-    /// goes to the outer sweep (`inner = 1`, today's behaviour); with
-    /// fewer jobs than cores the leftover cores turn into intra-block
-    /// decode threads, so small grids still fill the machine.
+    /// goes to the outer sweep (`inner = 1`); with fewer jobs than cores
+    /// the leftover cores become each worker's batch-decode threads
+    /// (whole blocks decoded side by side), so small grids still fill
+    /// the machine.
     pub fn split(self, jobs: usize) -> (usize, Threads) {
         let outer = self.0.min(jobs.max(1));
         (outer, Threads::new(self.0 / outer))

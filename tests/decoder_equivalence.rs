@@ -1,21 +1,19 @@
-//! Property tests for the decoder workspace/table paths: `decode` and
-//! `decode_with_workspace` are the SAME computation (the plain entry
-//! points just allocate a throwaway workspace), so their results must be
+//! Property tests for the [`DecodeRequest`] dispatch combinations: a
+//! plain request, one reusing a caller-held workspace, and one carrying
+//! a `TableCache` across repeated decodes (the second of which folds in
+//! nothing new) are the SAME computation, so their results must be
 //! bit-identical — messages and costs — for arbitrary parameters across
-//! all three channel families. A second property reuses ONE workspace
-//! across every generated case, catching any state leakage between
-//! attempts.
-//!
-//! The legacy entry points exercised here are deprecated delegates of
-//! [`spinal_codes::DecodeRequest`]; this file deliberately keeps calling
-//! them so the delegate ≡ builder equivalence stays pinned.
-#![allow(deprecated)]
+//! all three channel families and both metric profiles. A cache handed
+//! to a bit-observation request is ignored. A second property reuses
+//! ONE workspace across every generated case, catching any state
+//! leakage between attempts.
 
 use proptest::prelude::*;
 use spinal_codes::channel::BitChannel;
+use spinal_codes::core::{MetricProfile, TableCache};
 use spinal_codes::{
-    AwgnChannel, BscChannel, BubbleDecoder, Channel, CodeParams, DecodeWorkspace, Encoder, Message,
-    RayleighChannel, RxBits, RxSymbols, Schedule,
+    AwgnChannel, BscChannel, BubbleDecoder, Channel, CodeParams, DecodeRequest, DecodeWorkspace,
+    Encoder, Message, RayleighChannel, RxBits, RxObservations, RxSymbols, Schedule,
 };
 
 /// One generated decode scenario: parameters + received buffer.
@@ -26,19 +24,28 @@ struct Scenario {
     b: usize,
     /// 0 = AWGN, 1 = BSC, 2 = Rayleigh with CSI.
     chan: u8,
+    /// Decode under the quantized integer profile instead of exact.
+    quantized: bool,
     seed: u64,
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (2usize..5, 1usize..4, 0usize..3, 0u8..3, 0u64..1 << 20).prop_map(
-        |(k, d, b_pow, chan, seed)| Scenario {
+    (
+        2usize..5,
+        1usize..4,
+        0usize..3,
+        0u8..3,
+        any::<bool>(),
+        0u64..1 << 20,
+    )
+        .prop_map(|(k, d, b_pow, chan, quantized, seed)| Scenario {
             k,
             d,
             b: 4 << b_pow, // B ∈ {4, 8, 16}
             chan,
+            quantized,
             seed,
-        },
-    )
+        })
 }
 
 enum Rx {
@@ -87,37 +94,62 @@ fn build(sc: &Scenario) -> (CodeParams, Rx) {
     (params, rx)
 }
 
-fn decode_both(params: &CodeParams, rx: &Rx, ws: &mut DecodeWorkspace) -> [(Message, u64); 2] {
-    let dec = BubbleDecoder::new(params);
-    let (plain, reused) = match rx {
-        Rx::Symbols(rx) => (dec.decode(rx), dec.decode_with_workspace(rx, ws)),
-        Rx::Bits(rx) => (dec.decode_bsc(rx), dec.decode_bsc_with_workspace(rx, ws)),
+/// Decode `rx` through every request combination — plain, caller
+/// workspace, and workspace + cache twice — as `(message, cost bits)`.
+fn decode_all(
+    sc: &Scenario,
+    params: &CodeParams,
+    rx: &Rx,
+    ws: &mut DecodeWorkspace,
+) -> Vec<(Message, u64)> {
+    let profile = if sc.quantized {
+        MetricProfile::Quantized
+    } else {
+        MetricProfile::Exact
     };
-    [
-        (plain.message, plain.cost.to_bits()),
-        (reused.message, reused.cost.to_bits()),
-    ]
+    let dec = BubbleDecoder::new(params).with_profile(profile);
+    let obs: RxObservations = match rx {
+        Rx::Symbols(rx) => rx.into(),
+        Rx::Bits(rx) => rx.into(),
+    };
+    let mut cache = TableCache::new();
+    let mut outs = vec![
+        DecodeRequest::new(&dec, obs).decode(),
+        DecodeRequest::new(&dec, obs).workspace(ws).decode(),
+    ];
+    for _ in 0..2 {
+        outs.push(
+            DecodeRequest::new(&dec, obs)
+                .workspace(ws)
+                .cache(&mut cache)
+                .decode(),
+        );
+    }
+    outs.into_iter()
+        .map(|out| (out.message, out.cost.to_bits()))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `decode` ≡ `decode_with_workspace` (message and cost bits) for
-    /// arbitrary (k, d, B, channel, seed).
+    /// Every request combination agrees (message and cost bits) for
+    /// arbitrary (k, d, B, channel, profile, seed).
     #[test]
     fn workspace_decode_is_identical(sc in arb_scenario()) {
         let (params, rx) = build(&sc);
-        let [(m1, c1), (m2, c2)] = decode_both(&params, &rx, &mut DecodeWorkspace::new());
-        prop_assert_eq!(m1, m2);
-        prop_assert_eq!(c1, c2);
+        let outs = decode_all(&sc, &params, &rx, &mut DecodeWorkspace::new());
+        for (i, out) in outs.iter().enumerate().skip(1) {
+            prop_assert_eq!(out, &outs[0], "combination {} ({:?})", i, sc);
+        }
     }
 }
 
 #[test]
 fn one_workspace_serves_every_scenario() {
     // The same workspace instance decodes a parade of heterogeneous
-    // scenarios (sizes, depths, metric kinds) and must match a fresh
-    // workspace each time — no state may leak between attempts.
+    // scenarios (sizes, depths, metric kinds, profiles) and must match
+    // a fresh workspace each time — no state may leak between attempts.
     let mut ws = DecodeWorkspace::new();
     for seed in 0..12u64 {
         let sc = Scenario {
@@ -125,11 +157,13 @@ fn one_workspace_serves_every_scenario() {
             d: 1 + (seed % 3) as usize,
             b: 4 << (seed % 3),
             chan: (seed % 3) as u8,
+            quantized: seed % 2 == 1,
             seed: seed * 7919,
         };
         let (params, rx) = build(&sc);
-        let [(m1, c1), (m2, c2)] = decode_both(&params, &rx, &mut ws);
-        assert_eq!(m1, m2, "seed {seed}");
-        assert_eq!(c1, c2, "seed {seed}");
+        let outs = decode_all(&sc, &params, &rx, &mut ws);
+        for (i, out) in outs.iter().enumerate().skip(1) {
+            assert_eq!(out, &outs[0], "seed {seed} combination {i}");
+        }
     }
 }

@@ -1,19 +1,23 @@
 //! Parallel/serial equivalence: the `DecodeEngine` must be an execution
-//! strategy, not a different decoder. Every path through it — intra-block
-//! sharded decode, the batched block pipeline, and submit/drain — must
-//! reproduce `decode_with_workspace` bit for bit (message bytes AND cost
-//! bits) at every thread count, for arbitrary `(k, B, d, channel)`
-//! scenarios and for the degenerate-observation regression cases from
-//! the NaN-safety work (where *every* leaf ties at `+∞` cost and only
-//! the canonical total order keeps the winner well-defined).
+//! strategy, not a different decoder. Every pooled path — the batched
+//! block pipeline, submit/drain, and (for hard-bit observations, which
+//! the engine's symbol entry points do not take) a decode-service
+//! session — must reproduce the serial workspace decode bit for bit
+//! (message bytes AND cost bits) at every thread count, for arbitrary
+//! `(k, B, d, channel)` scenarios and for the degenerate-observation
+//! regression cases from the NaN-safety work (where *every* leaf ties at
+//! `+∞` cost and only the canonical total order keeps the winner
+//! well-defined).
 
 use proptest::prelude::*;
 use spinal_codes::channel::BitChannel;
-use spinal_codes::core::MetricProfile;
+use spinal_codes::core::{DecodeResult, MetricProfile};
 use spinal_codes::{
     AwgnChannel, BscChannel, BubbleDecoder, Channel, CodeParams, Complex, DecodeEngine,
-    DecodeRequest, DecodeWorkspace, Encoder, Message, RayleighChannel, RxBits, RxSymbols, Schedule,
+    DecodeRequest, DecodeService, DecodeWorkspace, Encoder, Message, RayleighChannel, RxBits,
+    RxSymbols, Schedule, ServiceConfig, SessionBuffer, SessionOptions,
 };
+use std::sync::Arc;
 
 /// One generated decode scenario: parameters + received buffer.
 #[derive(Debug, Clone, Copy)]
@@ -30,8 +34,8 @@ struct Scenario {
     seed: u64,
 }
 
-/// Budgets under test: serial passthrough, even/odd shard counts, and
-/// more workers than the beam has convenient divisors for.
+/// Budgets under test: inline passthrough, even/odd pool widths, and
+/// more workers than there are blocks to decode.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
@@ -103,11 +107,7 @@ fn build(sc: &Scenario) -> (CodeParams, Rx) {
     (params, rx)
 }
 
-fn assert_bitwise_equal(
-    serial: &spinal_codes::core::DecodeResult,
-    parallel: &spinal_codes::core::DecodeResult,
-    context: &str,
-) {
+fn assert_bitwise_equal(serial: &DecodeResult, parallel: &DecodeResult, context: &str) {
     assert_eq!(serial.message, parallel.message, "{context}: message");
     assert_eq!(
         serial.cost.to_bits(),
@@ -116,46 +116,104 @@ fn assert_bitwise_equal(
     );
 }
 
+fn profile_of(sc: &Scenario) -> MetricProfile {
+    if sc.quantized {
+        MetricProfile::Quantized
+    } else {
+        MetricProfile::Exact
+    }
+}
+
+/// Decode `rxs` through both of the engine's pooled paths — one batch,
+/// then one submit/drain generation — and check each block against
+/// its serial decode.
+fn assert_engine_paths_match_serial(
+    engine: &DecodeEngine,
+    dec: &BubbleDecoder,
+    rxs: &[RxSymbols],
+    context: &str,
+) {
+    let serial: Vec<DecodeResult> = rxs
+        .iter()
+        .map(|rx| DecodeRequest::new(dec, rx).decode())
+        .collect();
+    let batch = engine.decode_batch_parallel(dec, rxs);
+    assert_eq!(batch.len(), serial.len(), "{context}: batch length");
+    for (s, p) in serial.iter().zip(&batch) {
+        assert_bitwise_equal(s, p, &format!("{context}: batch"));
+    }
+    for rx in rxs {
+        engine.submit(dec, rx);
+    }
+    let drained = engine.drain();
+    assert_eq!(drained.len(), serial.len(), "{context}: drain length");
+    for (s, p) in serial.iter().zip(&drained) {
+        let p = p.as_ref().expect("clean submit decodes");
+        assert_bitwise_equal(s, p, &format!("{context}: submit/drain"));
+    }
+}
+
+/// Decode hard bits through a pooled decode-service session and check
+/// it against the serial decode.
+fn assert_service_matches_serial(
+    svc: &DecodeService,
+    dec: &Arc<BubbleDecoder>,
+    rx: &RxBits,
+    context: &str,
+) {
+    let serial = DecodeRequest::new(dec, rx).decode();
+    let mut session = svc
+        .open_session(
+            dec,
+            SessionBuffer::Bits(rx.clone()),
+            SessionOptions::default(),
+        )
+        .expect("admitted");
+    session.submit().expect("queued");
+    let pooled = session
+        .wait()
+        .expect("attempt in flight")
+        .expect("clean decode");
+    assert_bitwise_equal(&serial, &pooled, &format!("{context}: service"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Engine decode ≡ serial decode for arbitrary (k, d, B, channel,
+    /// Pooled decode ≡ serial decode for arbitrary (k, d, B, channel,
     /// threads, seed), over both metric kinds AND both metric profiles
-    /// (the quantized integer path must be exactly as deterministic
-    /// under sharding as the exact one).
+    /// (the quantized integer path must be exactly as deterministic on
+    /// a worker as the exact one).
     #[test]
     fn engine_decode_is_bit_identical_to_serial(sc in arb_scenario()) {
         let (params, rx) = build(&sc);
         let threads = THREAD_COUNTS[sc.threads_idx];
-        let engine = DecodeEngine::new(threads);
-        let profile = if sc.quantized {
-            MetricProfile::Quantized
-        } else {
-            MetricProfile::Exact
-        };
-        let dec = BubbleDecoder::new(&params).with_profile(profile);
+        let dec = BubbleDecoder::new(&params).with_profile(profile_of(&sc));
         match &rx {
-            Rx::Symbols(rx) => {
-                let serial = DecodeRequest::new(&dec, rx).decode();
-                let parallel = DecodeRequest::new(&dec, rx).engine(&engine).decode();
-                assert_bitwise_equal(&serial, &parallel, &format!("{sc:?}"));
-            }
-            Rx::Bits(rx) => {
-                let serial = DecodeRequest::new(&dec, rx).decode();
-                let parallel = DecodeRequest::new(&dec, rx).engine(&engine).decode();
-                assert_bitwise_equal(&serial, &parallel, &format!("{sc:?}"));
-            }
+            Rx::Symbols(rx) => assert_engine_paths_match_serial(
+                &DecodeEngine::new(threads),
+                &dec,
+                std::slice::from_ref(rx),
+                &format!("{sc:?}"),
+            ),
+            Rx::Bits(rx) => assert_service_matches_serial(
+                &DecodeService::new(threads, ServiceConfig::default()),
+                &Arc::new(dec),
+                rx,
+                &format!("{sc:?}"),
+            ),
         }
     }
 }
 
 #[test]
 fn one_engine_decodes_a_parade_of_scenarios_identically() {
-    // A single long-lived engine per thread count serves heterogeneous
-    // codes and metrics back to back (the sweep deployment shape); no
-    // state may leak between decodes.
+    // A single long-lived engine (and service) per thread count serves
+    // heterogeneous codes and metrics back to back (the sweep
+    // deployment shape); no state may leak between decodes.
     for &threads in &THREAD_COUNTS {
         let engine = DecodeEngine::new(threads);
+        let svc = DecodeService::new(threads, ServiceConfig::default());
         for seed in 0..10u64 {
             let sc = Scenario {
                 k: 2 + (seed % 3) as usize,
@@ -167,23 +225,16 @@ fn one_engine_decodes_a_parade_of_scenarios_identically() {
                 seed: seed * 77 + 5,
             };
             let (params, rx) = build(&sc);
-            let profile = if sc.quantized {
-                MetricProfile::Quantized
-            } else {
-                MetricProfile::Exact
-            };
-            let dec = BubbleDecoder::new(&params).with_profile(profile);
+            let dec = BubbleDecoder::new(&params).with_profile(profile_of(&sc));
+            let context = format!("threads {threads} seed {seed}");
             match &rx {
-                Rx::Symbols(rx) => assert_bitwise_equal(
-                    &DecodeRequest::new(&dec, rx).decode(),
-                    &DecodeRequest::new(&dec, rx).engine(&engine).decode(),
-                    &format!("threads {threads} seed {seed}"),
+                Rx::Symbols(rx) => assert_engine_paths_match_serial(
+                    &engine,
+                    &dec,
+                    std::slice::from_ref(rx),
+                    &context,
                 ),
-                Rx::Bits(rx) => assert_bitwise_equal(
-                    &DecodeRequest::new(&dec, rx).decode(),
-                    &DecodeRequest::new(&dec, rx).engine(&engine).decode(),
-                    &format!("threads {threads} seed {seed}"),
-                ),
+                Rx::Bits(rx) => assert_service_matches_serial(&svc, &Arc::new(dec), rx, &context),
             }
         }
     }
@@ -208,27 +259,27 @@ fn batch_and_submit_drain_match_serial_batch() {
         })
         .collect();
     let dec = BubbleDecoder::new(&params);
+    // The serial reference shares one workspace across the batch, the
+    // way a single-threaded receiver would decode it.
     let mut ws = DecodeWorkspace::new();
-    let serial: Vec<_> = rxs
+    let shared_ws: Vec<DecodeResult> = rxs
         .iter()
         .map(|rx| DecodeRequest::new(&dec, rx).workspace(&mut ws).decode())
         .collect();
+    for (rx, s) in rxs.iter().zip(&shared_ws) {
+        assert_bitwise_equal(
+            &DecodeRequest::new(&dec, rx).decode(),
+            s,
+            "shared workspace",
+        );
+    }
     for &threads in &THREAD_COUNTS {
-        let engine = DecodeEngine::new(threads);
-        let batch = engine.decode_batch_parallel(&dec, &rxs);
-        assert_eq!(batch.len(), serial.len());
-        for (s, p) in serial.iter().zip(&batch) {
-            assert_bitwise_equal(s, p, &format!("batch threads {threads}"));
-        }
-        for rx in &rxs {
-            engine.submit(&dec, rx);
-        }
-        let drained = engine.drain();
-        assert_eq!(drained.len(), serial.len());
-        for (s, p) in serial.iter().zip(&drained) {
-            let p = p.as_ref().expect("clean submit decodes");
-            assert_bitwise_equal(s, p, &format!("submit/drain threads {threads}"));
-        }
+        assert_engine_paths_match_serial(
+            &DecodeEngine::new(threads),
+            &dec,
+            &rxs,
+            &format!("threads {threads}"),
+        );
     }
 }
 
@@ -237,7 +288,7 @@ fn degenerate_csi_ties_resolve_identically_at_every_thread_count() {
     // The ∞-CSI regression from the NaN-safety work: one broken
     // observation makes EVERY candidate cost +∞, so the winner is
     // decided purely by tie-breaking. The canonical (cost, tree, path)
-    // order must make serial and all parallel decodes agree exactly.
+    // order must make serial and all pooled decodes agree exactly.
     let params = CodeParams::default().with_n(64).with_b(8);
     let mut s = 0x1234_5678_9abc_def1u64;
     let msg = Message::random(64, move || {
@@ -266,11 +317,10 @@ fn degenerate_csi_ties_resolve_identically_at_every_thread_count() {
             "{profile:?}"
         );
         for &threads in &THREAD_COUNTS {
-            let engine = DecodeEngine::new(threads);
-            let parallel = DecodeRequest::new(&dec, &rx).engine(&engine).decode();
-            assert_bitwise_equal(
-                &serial,
-                &parallel,
+            assert_engine_paths_match_serial(
+                &DecodeEngine::new(threads),
+                &dec,
+                std::slice::from_ref(&rx),
                 &format!("inf-CSI {profile:?} threads {threads}"),
             );
         }
@@ -280,8 +330,8 @@ fn degenerate_csi_ties_resolve_identically_at_every_thread_count() {
 #[test]
 fn all_nan_observations_resolve_identically_at_every_thread_count() {
     // Every observation broken: every table entry clamps to +∞ and the
-    // whole search is one big tie. Serial and parallel must still pick
-    // the same (garbage) message and +∞ cost.
+    // whole search is one big tie. Serial and pooled decodes must still
+    // pick the same (garbage) message and +∞ cost.
     let params = CodeParams::default().with_n(64).with_b(4);
     let schedule = Schedule::new(params.num_spines(), params.tail, params.puncturing);
     let mut rx = RxSymbols::new(schedule);
@@ -292,11 +342,10 @@ fn all_nan_observations_resolve_identically_at_every_thread_count() {
         let serial = DecodeRequest::new(&dec, &rx).decode();
         assert!(serial.cost.is_infinite(), "{profile:?}");
         for &threads in &THREAD_COUNTS {
-            let engine = DecodeEngine::new(threads);
-            let parallel = DecodeRequest::new(&dec, &rx).engine(&engine).decode();
-            assert_bitwise_equal(
-                &serial,
-                &parallel,
+            assert_engine_paths_match_serial(
+                &DecodeEngine::new(threads),
+                &dec,
+                std::slice::from_ref(&rx),
                 &format!("all-NaN {profile:?} threads {threads}"),
             );
         }

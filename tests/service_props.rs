@@ -14,6 +14,7 @@
 
 use proptest::prelude::*;
 use spinal_codes::channel::BitChannel;
+use spinal_codes::core::{BreakerConfig, BreakerScope, SubmitError};
 use spinal_codes::core::{DecodeRequest, DecodeResult};
 use spinal_codes::{
     AwgnChannel, BscChannel, BubbleDecoder, Channel, CodeParams, DecodeService, Encoder, Message,
@@ -190,12 +191,12 @@ proptest! {
         prop_assert_eq!(m.completions, m.submits, "lost or duplicated completions");
         prop_assert_eq!(m.stale_completions, 0u64);
         prop_assert_eq!(m.sessions_shed, 0u64);
-        // Nothing in this workload cancels, expires, or quarantines —
-        // the hardened-lifecycle counters must stay silent.
+        // Nothing in this workload cancels, expires, or trips a
+        // breaker — the hardened-lifecycle counters must stay silent.
         prop_assert_eq!(m.attempts_cancelled, 0u64);
         prop_assert_eq!(m.attempts_deadline_expired, 0u64);
         prop_assert_eq!(m.deadline_misses, 0u64);
-        prop_assert_eq!(m.sessions_quarantined, 0u64);
+        prop_assert_eq!(m.breaker_opened, 0u64);
         prop_assert_eq!(svc.active_sessions(), 0);
     }
 
@@ -368,50 +369,60 @@ proptest! {
         prop_assert_eq!(m.deadline_misses, 0u64, "a dropped attempt cannot also miss");
     }
 
-    /// Quarantine: crossing the consecutive-failure threshold refuses
-    /// further submits with a structured error (counted once per
-    /// crossing), and `mark_ok` restores service with decodes still
-    /// bit-identical to serial.
+    /// The session circuit breaker, driven by caller-reported failures:
+    /// a `mark_failed` after each of `failures` clean attempts (a CRC
+    /// reject, say) opens it — the clean completions in between do not
+    /// clear the count — the next submit is refused with
+    /// `CircuitOpen { scope: Session }` (counted in `breaker_opened` and
+    /// `submits_rejected`), and once the cooldown passes a probe is
+    /// admitted whose clean decode closes the breaker again. Every
+    /// decode is bit-identical to serial.
     #[test]
-    fn quarantine_gates_submits_until_marked_healthy(sc in arb_scenario()) {
+    fn mark_failed_opens_the_session_breaker_until_cooldown(sc in arb_scenario()) {
         let p = CodeParams::default().with_n(32).with_b(4);
         let dec = Arc::new(BubbleDecoder::new(&p));
-        let threshold = sc.attempts as u32; // 1..4
+        let cooldown = Duration::from_millis(150);
         let svc = DecodeService::new(sc.threads, ServiceConfig {
-            quarantine_after: threshold,
+            session_breaker: Some(BreakerConfig {
+                failures: sc.attempts as u32, // 1..4
+                window: Duration::from_secs(60),
+                cooldown,
+            }),
             policy: POLICIES[sc.policy_idx],
             ..ServiceConfig::default()
         });
         let (buf, mirror, _) = build_session(&p, &sc, 0);
+        let want = serial_decode(&dec, &mirror);
         let mut session = svc
             .open_session(&dec, buf, SessionOptions::default())
             .expect("admission");
-        for k in 1..=threshold {
-            prop_assert_eq!(session.mark_failed(), k);
-        }
-        prop_assert!(session.quarantined());
-        match session.submit() {
-            Err(spinal_codes::SubmitError::Quarantined { failures }) => {
-                prop_assert_eq!(failures, threshold);
-            }
-            other => prop_assert!(false, "quarantined submit returned {:?}", other),
-        }
-        session.mark_ok();
-        prop_assert!(!session.quarantined());
-        session.submit().expect("healthy session refused");
-        let got = session.wait().expect("attempt in flight").expect("clean decode");
-        let want = serial_decode(&dec, &mirror);
-        prop_assert_eq!(&got.message, &want.message, "post-quarantine decode ({:?})", sc);
-        // A second crossing counts again — the counter tracks events,
-        // not a high-water mark.
-        for _ in 0..threshold {
+        for _ in 0..sc.attempts {
+            prop_assert_eq!(svc.metrics().breaker_opened, 0u64, "opened early ({:?})", sc);
+            session.submit().expect("closed breaker admits");
+            let got = session.wait().expect("attempt in flight").expect("clean decode");
+            prop_assert_eq!(&got.message, &want.message, "decode ({:?})", sc);
             session.mark_failed();
         }
+        let opened = Instant::now();
+        prop_assert_eq!(svc.metrics().breaker_opened, 1u64);
+        match session.submit() {
+            Err(SubmitError::CircuitOpen { scope: BreakerScope::Session, retry_in }) => {
+                prop_assert!(retry_in <= cooldown, "retry_in {:?}", retry_in);
+            }
+            other => prop_assert!(false, "open breaker answered a submit with {:?}", other),
+        }
+        let m = svc.metrics();
+        prop_assert_eq!(m.submits_rejected, 1u64, "refusal miscounted");
+        prop_assert_eq!(m.breaker_rejected, 1u64, "refusal miscounted");
+        std::thread::sleep(cooldown.saturating_sub(opened.elapsed()) + Duration::from_millis(5));
+        session.submit().expect("cooldown over: probe admitted");
+        let got = session.wait().expect("attempt in flight").expect("clean decode");
+        prop_assert_eq!(&got.message, &want.message, "probe decode ({:?})", sc);
+        prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
         drop(session);
         let m = svc.metrics();
-        prop_assert_eq!(m.sessions_quarantined, 2u64, "crossings miscounted");
-        prop_assert_eq!(m.submits_rejected, 1u64, "quarantine refusal miscounted");
-        prop_assert_eq!(m.submits, 1u64);
-        prop_assert_eq!(m.completions, 1u64);
+        prop_assert_eq!(m.breaker_closed, 1u64, "a clean probe closes the breaker");
+        prop_assert_eq!(m.submits, sc.attempts as u64 + 1);
+        prop_assert_eq!(m.completions, m.submits);
     }
 }
